@@ -57,7 +57,9 @@ use torchgt_data::ShardLoader;
 use torchgt_graph::{GraphDataset, NodeDataset};
 use torchgt_model::{Graphormer, GraphormerConfig, Gt, GtConfig};
 use torchgt_perf::{GpuSpec, ModelShape};
-use torchgt_runtime::{GraphTrainer, Method, NodeTrainer, StreamingTrainer, TrainConfig};
+use torchgt_runtime::{
+    CannotStream, GraphTrainer, Method, NodeTrainer, StreamingTrainer, TrainConfig,
+};
 use torchgt_tensor::Precision;
 
 /// Which model family the builder instantiates.
@@ -315,9 +317,6 @@ impl TorchGtBuilder {
     /// methods can stream ([`BuildError::MethodCannotStream`] otherwise).
     pub fn build_streaming(&self, loader: ShardLoader) -> Result<StreamingTrainer, BuildError> {
         self.validate()?;
-        if self.method == Method::TorchGt {
-            return Err(BuildError::MethodCannotStream);
-        }
         let m = loader.manifest();
         if m.total_nodes == 0 {
             return Err(BuildError::EmptyDataset);
@@ -326,14 +325,15 @@ impl TorchGtBuilder {
             return Err(BuildError::ZeroOutDim);
         }
         let model = self.make_model(m.feat_dim as usize, m.num_classes as usize);
-        Ok(StreamingTrainer::new(
+        StreamingTrainer::from_shards(
             self.train_config(),
             loader,
             model,
             self.shape(),
             self.gpu,
             self.topology,
-        ))
+        )
+        .map_err(|CannotStream| BuildError::MethodCannotStream)
     }
 }
 

@@ -108,6 +108,18 @@ pub struct ReshardOutcome {
     pub reloaded: usize,
 }
 
+/// A token id as an element of the `f32` collective payload: the id's bits,
+/// not its value, so every `u32` survives the trip (a value cast rounds ids
+/// above 2^24).
+fn token_to_wire(t: u32) -> f32 {
+    f32::from_bits(t)
+}
+
+/// Inverse of [`token_to_wire`].
+fn token_from_wire(x: f32) -> u32 {
+    x.to_bits()
+}
+
 /// Redistribute token ownership from assignment `old` to `new` with a real
 /// all-to-all over the group's live ranks. Every rank ships the token ids
 /// it owns under `old` to their `new` owner; tokens stranded on a dead rank
@@ -130,14 +142,14 @@ pub fn reshard_exchange(group: &DeviceGroup, old: &[u32], new: &[u32]) -> Reshar
                 .expect("new assignment must target a live rank");
             if m.is_live(o as usize) {
                 if o == me {
-                    chunks[dest].push(t as f32);
+                    chunks[dest].push(token_to_wire(t as u32));
                 }
             } else if n == me {
                 mine.push(t as u32);
             }
         }
         for received in comm.all_to_all(chunks) {
-            mine.extend(received.into_iter().map(|x| x as u32));
+            mine.extend(received.into_iter().map(token_from_wire));
         }
         mine.sort_unstable();
         mine
@@ -580,6 +592,17 @@ mod tests {
         assert!(!tokens_conserved(4, &[vec![0, 2], vec![1, 2, 3]]), "token 2 duplicated");
         assert!(!tokens_conserved(2, &[vec![0, 1, 2]]), "token out of range");
         assert!(tokens_conserved(0, &[]));
+    }
+
+    #[test]
+    fn token_ids_cross_the_wire_exactly_above_2_pow_24() {
+        // f32 has a 24-bit significand: as values, 2^24 + 1 rounds to 2^24.
+        let ids: Vec<u32> = (0..8).map(|k| (1 << 24) + k).collect();
+        let back: Vec<u32> = ids.iter().map(|&t| token_from_wire(token_to_wire(t))).collect();
+        assert_eq!(back, ids);
+        for t in [0, 1, u32::MAX] {
+            assert_eq!(token_from_wire(token_to_wire(t)), t);
+        }
     }
 
     #[test]

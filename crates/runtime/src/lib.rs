@@ -14,7 +14,9 @@
 //!   the single-device result bit-for-bit up to float tolerance);
 //! * [`trainer`] / [`graph_trainer`] — node-level and graph-level training
 //!   loops for all four methods (GP-RAW, GP-FLASH, GP-SPARSE, TorchGT) with
-//!   per-epoch loss/accuracy and simulated cluster time;
+//!   per-epoch loss/accuracy and simulated cluster time; the node loop runs
+//!   over a [`trainer::SequenceSource`] — in-memory sequences or a shard
+//!   stream;
 //! * [`resume`] — crash-resume driving on top of `torchgt-ckpt`: periodic
 //!   full-state snapshots and bit-exact re-entry into the epoch loop;
 //! * [`distributed`] — data-parallel training over simulated ranks, plus a
@@ -27,9 +29,10 @@
 //!   [`StepLedger`] fed by measurements and the watchdog drives a
 //!   [`RebalancePolicy`] that reshards tokens away from slow ranks online,
 //!   with loss histories bit-identical to the static layout;
-//! * [`streaming`] — out-of-core training over `torchgt-data` shard
-//!   streams: bounded-memory epochs that are bit-identical to the
-//!   in-memory GP-* loops, with dataset identity enforced on restore.
+//! * [`streaming`] — the out-of-core sequence source for that same node
+//!   loop: `torchgt-data` shard streams re-chunked into bounded-memory
+//!   epochs that are bit-identical to in-memory GP-* training, with dataset
+//!   identity enforced on restore.
 
 pub mod autotune;
 pub mod batched;
@@ -65,6 +68,6 @@ pub use rebalance::{
     RebalancePolicy, RebalanceStats, StepLedger,
 };
 pub use resume::{run_with_checkpoints, CheckpointOptions, ResumeOutcome};
-pub use streaming::StreamingTrainer;
+pub use streaming::{CannotStream, StreamingTrainer};
 pub use trainer::{EpochStats, NodeTrainer};
 pub use traits::Trainer;

@@ -147,22 +147,28 @@ impl Prepared {
     }
 
     fn positions_of(&self, idx: &[u32]) -> Vec<Vec<u32>> {
-        let mut marks = vec![false; self.labels.len()];
-        for &v in idx {
-            marks[v as usize] = true;
-        }
-        self.sequences
-            .iter()
-            .map(|s| {
-                s.nodes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &v)| marks[v as usize])
-                    .map(|(i, _)| i as u32)
-                    .collect()
-            })
-            .collect()
+        let marks = split_marks(self.labels.len(), idx);
+        self.sequences.iter().map(|s| positions(&s.nodes, &marks)).collect()
     }
+}
+
+/// Membership marks over `n` nodes for the ids in `idx`.
+pub(crate) fn split_marks(n: usize, idx: &[u32]) -> Vec<bool> {
+    let mut marks = vec![false; n];
+    for &v in idx {
+        marks[v as usize] = true;
+    }
+    marks
+}
+
+/// Local positions of the `nodes` that carry a mark.
+pub(crate) fn positions(nodes: &[u32], marks: &[bool]) -> Vec<u32> {
+    nodes
+        .iter()
+        .enumerate()
+        .filter(|(_, &v)| marks[v as usize])
+        .map(|(i, _)| i as u32)
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,11 +1,17 @@
 //! The node-level training loop: executes GP-RAW / GP-FLASH / GP-SPARSE /
-//! TorchGT over a prepared dataset, producing per-epoch statistics with both
-//! real wall-clock and simulated GPU-cluster time.
+//! TorchGT over a [`SequenceSource`], producing per-epoch statistics with
+//! both real wall-clock and simulated GPU-cluster time.
+//!
+//! One loop serves two sources: the in-memory [`MemorySource`] (the
+//! prepared dataset, with TorchGT's per-sequence reformed masks) and the
+//! out-of-core [`crate::streaming::ShardSource`] (GP-* only). Only the
+//! source differs, so streaming ≡ in-memory holds bit for bit.
 
 use crate::autotune::AutoTuner;
 use crate::config::{Method, TrainConfig};
 use crate::interleave::{Decision, InterleaveScheduler};
 use crate::preprocess::{prepare_node_dataset, Prepared};
+use std::io;
 use std::time::Instant;
 use torchgt_comm::ClusterTopology;
 use torchgt_graph::partition::{cluster_order, partition, ClusterOrder};
@@ -15,7 +21,7 @@ use torchgt_obs::{EpochTrace, Event, RecorderHandle, SpanGuard, StepTrace};
 use torchgt_perf::{all_to_all_traffic, iteration_cost, GpuSpec, ModelShape, StepSpec};
 use torchgt_sparse::{access_profile, reform_recorded, AccessProfile, LayoutKind, ReformConfig};
 use torchgt_tensor::bf16::{apply_precision, bf16_round};
-use torchgt_tensor::{Adam, Optimizer, Precision, Workspace};
+use torchgt_tensor::{Adam, Optimizer, Precision, Tensor, Workspace};
 
 /// Elapsed seconds since the mark, re-arming it; 0 when timing is off
 /// (disabled recorder — no clock reads at all).
@@ -65,7 +71,58 @@ torchgt_compat::json_struct! {
     }
 }
 
-/// Per-sequence attention state for the sparse path.
+/// One training sequence as the epoch loop sees it.
+pub struct Step<'a> {
+    /// Features `[s, feat]` in local order.
+    pub features: &'a Tensor,
+    /// Induced subgraph over the sequence's nodes (local ids).
+    pub graph: &'a CsrGraph,
+    /// Labels in local order.
+    pub labels: &'a [u32],
+    /// Local positions of train-split nodes.
+    pub train_pos: &'a [u32],
+    /// Local positions of test-split nodes.
+    pub test_pos: &'a [u32],
+    /// The mask the sparse pattern attends over.
+    pub mask: &'a CsrGraph,
+    /// Access profile of the mask as the kernel sees it (feeds the cost
+    /// model).
+    pub profile: AccessProfile,
+    /// Condition report for the interleave scheduler (in-memory only;
+    /// TorchGT reads it).
+    pub report: Option<&'a ConditionReport>,
+    /// Compaction ratio of the latest reformation (1.0 without one).
+    pub reform_ratio: f64,
+}
+
+/// Where a [`NodeTrainer`] reads its sequences from.
+pub trait SequenceSource {
+    /// Graph sparsity β_G (seeds the Auto Tuner's β_thre).
+    fn beta_g(&self) -> f64;
+
+    /// Hand every sequence of `epoch` to `visit`, in training order. An
+    /// `Err` stops the pass.
+    fn for_each_step(&mut self, epoch: usize, visit: &mut dyn FnMut(Step<'_>)) -> io::Result<()>;
+
+    /// Rebuild the attention masks for a new β_thre (TorchGT's elastic
+    /// reformation; a no-op where masks do not depend on it).
+    fn reform(&mut self, _beta_thre: f64, _recorder: &RecorderHandle) {}
+
+    /// Route the source's own observability signals to `recorder`.
+    fn attach_recorder(&mut self, _recorder: &RecorderHandle) {}
+
+    /// Identity of the dataset, stamped into snapshots.
+    fn dataset_id(&self) -> Option<&str> {
+        None
+    }
+
+    /// Accept or refuse a snapshot taken against dataset `id`.
+    fn check_dataset(&self, _id: &str) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Per-sequence attention state of the in-memory source.
 struct SeqAttention {
     /// The mask actually attended over (topology or cluster-sparse).
     mask: CsrGraph,
@@ -73,17 +130,158 @@ struct SeqAttention {
     profile: AccessProfile,
     /// Cached condition report for the scheduler.
     report: ConditionReport,
-    /// Local cluster ordering used by the reformation (TorchGT only).
-    local_order: Option<ClusterOrder>,
-    /// Topology mask permuted into local cluster order (reform input).
-    permuted_topo: Option<CsrGraph>,
+    /// TorchGT only: the local cluster ordering and the topology mask
+    /// permuted into it (the reformation's input).
+    clustered: Option<(ClusterOrder, CsrGraph)>,
     /// Compaction ratio `nnz_after / nnz_before` of the latest reformation
     /// (1.0 when no reformation applies).
     reform_ratio: f64,
 }
 
-/// Node-level trainer.
-pub struct NodeTrainer {
+impl SeqAttention {
+    /// TorchGT's state: reform the clustered topology `permuted` at
+    /// `cfg.beta_thre`, map it back to sequence-local ids, then restore the
+    /// C1/C2 backbone the transfer may have broken (self-loops + Hamiltonian
+    /// sequence path — O(S) extra edges).
+    fn reformed(
+        order: ClusterOrder,
+        permuted: CsrGraph,
+        cfg: ReformConfig,
+        layers: u8,
+        recorder: &RecorderHandle,
+    ) -> Self {
+        let reformed = reform_recorded(&permuted, &order, cfg, recorder);
+        let mask = torchgt_graph::augment_for_conditions(&reformed.mask.permute(&order.inverse));
+        Self {
+            // Profile measured on the *clustered* layout (that is what the
+            // kernel sees).
+            profile: access_profile(&reformed.mask),
+            report: check_conditions(&mask, layers),
+            mask,
+            reform_ratio: compaction_ratio(&reformed.stats),
+            clustered: Some((order, permuted)),
+        }
+    }
+}
+
+/// The prepared in-memory dataset (clustered for TorchGT) with each
+/// sequence's attention state.
+pub struct MemorySource {
+    prepared: Prepared,
+    attn: Vec<SeqAttention>,
+    train_pos: Vec<Vec<u32>>,
+    test_pos: Vec<Vec<u32>>,
+    method: Method,
+    seed: u64,
+    /// Partition count of the per-sequence local clustering.
+    local_clusters: usize,
+    /// Sub-block size d_b of the reformation.
+    sub_block: usize,
+    /// Depth bound of the C3 reachability check.
+    condition_layers: u8,
+}
+
+impl MemorySource {
+    /// Preprocess the dataset (clustered for TorchGT). The attention state
+    /// is built by [`MemorySource::build_attention`] once β_thre is known.
+    fn prepare(dataset: &NodeDataset, cfg: &TrainConfig, shape: ModelShape, gpu: &GpuSpec) -> Self {
+        let clustered = cfg.method == Method::TorchGt;
+        let k = if cfg.clusters > 0 { cfg.clusters } else { gpu.tune_k(shape.hidden) };
+        let prepared = prepare_node_dataset(dataset, cfg.seq_len, clustered, k, cfg.seed);
+        let sub_block = if cfg.sub_block > 0 {
+            cfg.sub_block
+        } else {
+            // d_b from the cache model, sized by a typical sequence's edges.
+            let edges = prepared.sequences.first().map(|s| s.mask.num_arcs()).unwrap_or(1);
+            AutoTuner::tune_shape(gpu, shape.hidden, edges).1
+        };
+        // With interleaving on, the periodic fully-connected pass propagates
+        // information globally, so any *connected* mask satisfies C3 (Yun et
+        // al.'s construction only needs eventual all-pair reachability);
+        // without interleaving the model depth is the hard bound.
+        let condition_layers = if cfg.interleave_period > 0 {
+            u8::MAX - 1
+        } else {
+            shape.layers.min(u8::MAX as usize) as u8
+        };
+        Self {
+            train_pos: prepared.train_positions(),
+            test_pos: prepared.test_positions(),
+            attn: Vec::new(),
+            method: cfg.method,
+            seed: cfg.seed,
+            local_clusters: gpu.tune_k(shape.hidden),
+            sub_block,
+            condition_layers,
+            prepared,
+        }
+    }
+
+    fn build_attention(&mut self, beta_thre: f64, recorder: &RecorderHandle) {
+        let layers = self.condition_layers;
+        let reform = ReformConfig { db: self.sub_block, beta_thre };
+        let seqs = self.prepared.sequences.iter().enumerate();
+        let attn = seqs.map(|(si, seq)| match self.method {
+            Method::TorchGt => {
+                // Local cluster structure for the reformation.
+                let k = self.local_clusters.min(seq.mask.num_nodes().max(1));
+                let assign = partition(&seq.mask, k, self.seed ^ si as u64);
+                let kk = assign.iter().copied().max().unwrap_or(0) as usize + 1;
+                let order = cluster_order(&assign, kk);
+                let permuted = seq.mask.permute(&order.perm);
+                SeqAttention::reformed(order, permuted, reform, layers, recorder)
+            }
+            _ => SeqAttention {
+                mask: seq.mask.clone(),
+                profile: seq.profile,
+                report: check_conditions(&seq.mask, layers),
+                clustered: None,
+                reform_ratio: 1.0,
+            },
+        });
+        self.attn = attn.collect();
+    }
+}
+
+impl SequenceSource for MemorySource {
+    fn beta_g(&self) -> f64 {
+        self.prepared.beta_g
+    }
+
+    fn for_each_step(&mut self, _epoch: usize, visit: &mut dyn FnMut(Step<'_>)) -> io::Result<()> {
+        let positions = self.train_pos.iter().zip(&self.test_pos);
+        for ((seq, state), (train_pos, test_pos)) in
+            self.prepared.sequences.iter().zip(&self.attn).zip(positions)
+        {
+            visit(Step {
+                features: &seq.features,
+                graph: &seq.graph,
+                labels: &seq.labels,
+                train_pos,
+                test_pos,
+                mask: &state.mask,
+                profile: state.profile,
+                report: Some(&state.report),
+                reform_ratio: state.reform_ratio,
+            });
+        }
+        Ok(())
+    }
+
+    /// Re-run the reformation of every TorchGT sequence at `beta_thre`.
+    fn reform(&mut self, beta_thre: f64, recorder: &RecorderHandle) {
+        let reform = ReformConfig { db: self.sub_block, beta_thre };
+        let layers = self.condition_layers;
+        for state in &mut self.attn {
+            if let Some((order, permuted)) = state.clustered.take() {
+                *state = SeqAttention::reformed(order, permuted, reform, layers, recorder);
+            }
+        }
+    }
+}
+
+/// Node-level trainer over a [`SequenceSource`] — in memory by default.
+pub struct NodeTrainer<S = MemorySource> {
     /// The run configuration.
     pub cfg: TrainConfig,
     /// Simulated device.
@@ -94,15 +292,11 @@ pub struct NodeTrainer {
     pub shape: ModelShape,
     model: Box<dyn SequenceModel>,
     opt: Adam,
-    prepared: Prepared,
-    attn: Vec<SeqAttention>,
+    pub(crate) source: S,
     scheduler: InterleaveScheduler,
     tuner: AutoTuner,
-    train_pos: Vec<Vec<u32>>,
-    test_pos: Vec<Vec<u32>>,
     current_beta: f64,
-    sub_block: usize,
-    epoch: usize,
+    pub(crate) epoch: usize,
     /// Scratch-tensor arena shared by every forward/backward/loss call.
     /// Lives outside [`torchgt_ckpt::TrainerState`], so it survives a
     /// checkpoint restore (the pools merely start cold after a crash —
@@ -115,8 +309,8 @@ pub struct NodeTrainer {
 }
 
 impl NodeTrainer {
-    /// Build a trainer: preprocess the dataset (clustered for TorchGT) and
-    /// construct the per-sequence masks.
+    /// Build an in-memory trainer: preprocess the dataset (clustered for
+    /// TorchGT) and construct the per-sequence masks.
     pub fn new(
         cfg: TrainConfig,
         dataset: &NodeDataset,
@@ -125,72 +319,21 @@ impl NodeTrainer {
         gpu: GpuSpec,
         topology: ClusterTopology,
     ) -> Self {
-        let clustered = cfg.method == Method::TorchGt;
-        let k = if cfg.clusters > 0 { cfg.clusters } else { gpu.tune_k(shape.hidden) };
-        let prepared = prepare_node_dataset(dataset, cfg.seq_len, clustered, k, cfg.seed);
-        let sub_block = if cfg.sub_block > 0 {
-            cfg.sub_block
-        } else {
-            // d_b from the cache model, sized by a typical sequence's edges.
-            let edges = prepared.sequences.first().map(|s| s.mask.num_arcs()).unwrap_or(1);
-            AutoTuner::tune_shape(&gpu, shape.hidden, edges).1
-        };
-        let tuner = AutoTuner::new(prepared.beta_g, 10);
-        let current_beta = cfg.beta_thre.unwrap_or_else(|| tuner.beta_thre());
-        let train_pos = prepared.train_positions();
-        let test_pos = prepared.test_positions();
-        let pending_preprocess_s = prepared.preprocess_seconds;
-        let mut trainer = Self {
-            recorder: torchgt_obs::noop(),
-            pending_preprocess_s,
-            scheduler: InterleaveScheduler::new(cfg.interleave_period),
-            tuner,
-            attn: Vec::new(),
-            train_pos,
-            test_pos,
-            current_beta,
-            sub_block,
-            epoch: 0,
-            ws: Workspace::new(),
-            model,
-            opt: Adam::with_lr(cfg.lr),
-            prepared,
-            cfg,
-            gpu,
-            topology,
-            shape,
-        };
-        trainer.build_attention_state();
+        let source = MemorySource::prepare(dataset, &cfg, shape, &gpu);
+        let mut trainer = Self::with_source(cfg, source, model, shape, gpu, topology);
+        trainer.source.build_attention(trainer.current_beta, &trainer.recorder);
+        trainer.pending_preprocess_s = trainer.source.prepared.preprocess_seconds;
         trainer
     }
 
     /// Pre-processing cost in seconds (partition + reorder + masks).
     pub fn preprocess_seconds(&self) -> f64 {
-        self.prepared.preprocess_seconds
-    }
-
-    /// Route observability signals to `recorder` (spans, step/epoch traces,
-    /// simulated all-to-all volume, β_thre transition events).
-    pub fn attach_recorder(&mut self, recorder: RecorderHandle) {
-        if recorder.enabled() {
-            recorder.gauge_set("beta_thre", self.current_beta);
-        }
-        self.recorder = recorder;
-    }
-
-    /// Graph sparsity β_G of the prepared graph.
-    pub fn beta_g(&self) -> f64 {
-        self.prepared.beta_g
-    }
-
-    /// The model under training.
-    pub fn model_mut(&mut self) -> &mut dyn SequenceModel {
-        self.model.as_mut()
+        self.source.prepared.preprocess_seconds
     }
 
     /// Number of training sequences.
     pub fn num_sequences(&self) -> usize {
-        self.prepared.sequences.len()
+        self.source.prepared.sequences.len()
     }
 
     /// Aggregate access profile of the *current* attention masks (reflects
@@ -201,7 +344,7 @@ impl NodeTrainer {
         let mut runs = 0usize;
         let mut isolated = 0usize;
         let mut active = 0usize;
-        for s in &self.attn {
+        for s in &self.source.attn {
             nnz += s.profile.nnz;
             runs += s.profile.runs;
             isolated += s.profile.isolated;
@@ -215,70 +358,79 @@ impl NodeTrainer {
             active_rows: active,
         }
     }
+}
 
-    /// Effective depth for the C3 reachability check: with interleaving on,
-    /// the periodic fully-connected pass propagates information globally, so
-    /// any *connected* mask satisfies C3 (Yun et al.'s construction only
-    /// needs eventual all-pair reachability); without interleaving the model
-    /// depth is the hard bound.
-    fn condition_layers(&self) -> u8 {
-        if self.cfg.interleave_period > 0 {
-            u8::MAX - 1
-        } else {
-            self.shape.layers.min(u8::MAX as usize) as u8
+/// The cost-model layout of one iteration.
+fn layout_for(method: Method, decision: Decision) -> LayoutKind {
+    match (method, decision) {
+        (Method::GpRaw, _) => LayoutKind::Dense,
+        (Method::GpFlash, _) => LayoutKind::Flash,
+        (Method::GpSparse, _) => LayoutKind::Topology,
+        (Method::TorchGt, Decision::Sparse) => LayoutKind::ClusterSparse,
+        (Method::TorchGt, Decision::Full) => LayoutKind::Flash,
+    }
+}
+
+/// The attention pattern of one pass; evaluation never interleaves.
+fn pattern_for<'a>(method: Method, decision: Decision, mask: &'a CsrGraph) -> Pattern<'a> {
+    match (method, decision) {
+        (Method::GpRaw, _) => Pattern::Dense,
+        (Method::GpFlash, _) => Pattern::Flash,
+        (Method::TorchGt, Decision::Full) => Pattern::Flash,
+        _ => Pattern::Sparse(mask),
+    }
+}
+
+impl<S: SequenceSource> NodeTrainer<S> {
+    /// The state every source shares: optimizer, scheduler, Auto Tuner and
+    /// the initial β_thre.
+    pub(crate) fn with_source(
+        cfg: TrainConfig,
+        source: S,
+        model: Box<dyn SequenceModel>,
+        shape: ModelShape,
+        gpu: GpuSpec,
+        topology: ClusterTopology,
+    ) -> Self {
+        let tuner = AutoTuner::new(source.beta_g(), 10);
+        let current_beta = cfg.beta_thre.unwrap_or_else(|| tuner.beta_thre());
+        Self {
+            recorder: torchgt_obs::noop(),
+            pending_preprocess_s: 0.0,
+            scheduler: InterleaveScheduler::new(cfg.interleave_period),
+            tuner,
+            current_beta,
+            epoch: 0,
+            ws: Workspace::new(),
+            model,
+            opt: Adam::with_lr(cfg.lr),
+            source,
+            cfg,
+            gpu,
+            topology,
+            shape,
         }
     }
 
-    fn build_attention_state(&mut self) {
-        let layers = self.condition_layers();
-        let method = self.cfg.method;
-        let k = self.gpu.tune_k(self.shape.hidden);
-        let mut states = Vec::with_capacity(self.prepared.sequences.len());
-        for (si, seq) in self.prepared.sequences.iter().enumerate() {
-            let state = match method {
-                Method::TorchGt => {
-                    // Local cluster structure for the reformation.
-                    let assign = partition(&seq.mask, k.min(seq.mask.num_nodes().max(1)), self.cfg.seed ^ si as u64);
-                    let kk = assign.iter().copied().max().unwrap_or(0) as usize + 1;
-                    let order = cluster_order(&assign, kk);
-                    let permuted = seq.mask.permute(&order.perm);
-                    let reformed = reform_recorded(
-                        &permuted,
-                        &order,
-                        ReformConfig { db: self.sub_block, beta_thre: self.current_beta },
-                        &self.recorder,
-                    );
-                    // Back to sequence-local ids, then restore the C1/C2
-                    // backbone the transfer may have broken (self-loops +
-                    // Hamiltonian sequence path — O(S) extra edges).
-                    let mask = torchgt_graph::augment_for_conditions(
-                        &reformed.mask.permute(&order.inverse),
-                    );
-                    // Profile measured on the *clustered* layout (that is
-                    // what the kernel sees).
-                    let profile = access_profile(&reformed.mask);
-                    let report = check_conditions(&mask, layers);
-                    SeqAttention {
-                        mask,
-                        profile,
-                        report,
-                        local_order: Some(order),
-                        permuted_topo: Some(permuted),
-                        reform_ratio: compaction_ratio(&reformed.stats),
-                    }
-                }
-                _ => SeqAttention {
-                    mask: seq.mask.clone(),
-                    profile: seq.profile,
-                    report: check_conditions(&seq.mask, layers),
-                    local_order: None,
-                    permuted_topo: None,
-                    reform_ratio: 1.0,
-                },
-            };
-            states.push(state);
+    /// Route observability signals to `recorder` (spans, step/epoch traces,
+    /// simulated all-to-all volume, β_thre transition events, and the
+    /// source's own gauges).
+    pub fn attach_recorder(&mut self, recorder: RecorderHandle) {
+        if recorder.enabled() {
+            recorder.gauge_set("beta_thre", self.current_beta);
         }
-        self.attn = states;
+        self.source.attach_recorder(&recorder);
+        self.recorder = recorder;
+    }
+
+    /// Graph sparsity β_G of the training graph.
+    pub fn beta_g(&self) -> f64 {
+        self.source.beta_g()
+    }
+
+    /// The model under training.
+    pub fn model_mut(&mut self) -> &mut dyn SequenceModel {
+        self.model.as_mut()
     }
 
     /// Re-run the reformation after a β_thre change (elastic transfer). The
@@ -289,38 +441,8 @@ impl NodeTrainer {
             return;
         }
         let mut mark = self.recorder.enabled().then(Instant::now);
-        let layers = self.condition_layers();
-        for state in &mut self.attn {
-            let (Some(order), Some(permuted)) = (&state.local_order, &state.permuted_topo) else {
-                continue;
-            };
-            let reformed = reform_recorded(
-                permuted,
-                order,
-                ReformConfig { db: self.sub_block, beta_thre: self.current_beta },
-                &self.recorder,
-            );
-            state.mask =
-                torchgt_graph::augment_for_conditions(&reformed.mask.permute(&order.inverse));
-            state.profile = access_profile(&reformed.mask);
-            state.report = check_conditions(&state.mask, layers);
-            state.reform_ratio = compaction_ratio(&reformed.stats);
-        }
+        self.source.reform(self.current_beta, &self.recorder);
         self.pending_preprocess_s += lap(&mut mark);
-    }
-
-    fn layout_for(&self, decision: Decision) -> LayoutKind {
-        match (self.cfg.method, decision) {
-            (Method::GpRaw, _) => LayoutKind::Dense,
-            (Method::GpFlash, _) => LayoutKind::Flash,
-            (Method::GpSparse, _) => LayoutKind::Topology,
-            (Method::TorchGt, Decision::Sparse) => LayoutKind::ClusterSparse,
-            (Method::TorchGt, Decision::Full) => LayoutKind::Flash,
-        }
-    }
-
-    fn sim_iteration(&self, seq_len: usize, profile: AccessProfile, decision: Decision) -> f64 {
-        iteration_cost(&self.step_spec(seq_len, profile, decision)).total()
     }
 
     /// Run one training epoch.
@@ -334,38 +456,34 @@ impl NodeTrainer {
         let mut sparse_iters = 0usize;
         let mut full_iters = 0usize;
         let (mut fwd_total, mut bwd_total, mut opt_total) = (0.0f64, 0.0f64, 0.0f64);
-        let nseq = self.prepared.sequences.len();
-        for si in 0..nseq {
-            let seq = &self.prepared.sequences[si];
-            let state = &self.attn[si];
-            let seq_len = seq.nodes.len();
-            let profile = state.profile;
-            let reform_ratio = state.reform_ratio;
-            let decision = match self.cfg.method {
+        let mut nseq = 0usize;
+        let method = self.cfg.method;
+        let streamed = self.source.for_each_step(self.epoch, &mut |step| {
+            let si = nseq;
+            nseq += 1;
+            let seq_len = step.labels.len();
+            let decision = match method {
                 Method::GpRaw | Method::GpFlash => Decision::Full,
                 Method::GpSparse => Decision::Sparse,
-                Method::TorchGt => self.scheduler.decide_with_report(&state.report),
+                Method::TorchGt => {
+                    let report = step.report.expect("TorchGT sources carry a condition report");
+                    self.scheduler.decide_with_report(report)
+                }
             };
             match decision {
                 Decision::Sparse => sparse_iters += 1,
                 Decision::Full => full_iters += 1,
             }
-            let pattern = match (self.cfg.method, decision) {
-                (Method::GpRaw, _) => Pattern::Dense,
-                (Method::GpFlash, _) => Pattern::Flash,
-                (Method::TorchGt, Decision::Full) => Pattern::Flash,
-                _ => Pattern::Sparse(&state.mask),
-            };
-            let batch =
-                SequenceBatch { features: &seq.features, graph: &seq.graph, spd: None };
+            let pattern = pattern_for(method, decision, step.mask);
+            let batch = SequenceBatch { features: step.features, graph: step.graph, spd: None };
             let ws0 = on.then(|| self.ws.stats());
             let mut mark = on.then(Instant::now);
             let mut logits = self.model.forward_ws(&batch, pattern, &mut self.ws);
             apply_precision(&mut logits, self.cfg.precision);
             let (l, dlogits) = loss::masked_softmax_cross_entropy_ws(
                 &logits,
-                &seq.labels,
-                &self.train_pos[si],
+                step.labels,
+                step.train_pos,
                 &mut self.ws,
             );
             total_loss += l;
@@ -390,7 +508,17 @@ impl NodeTrainer {
                 }
             }
             let optim_s = lap(&mut mark);
-            let sim_s = self.sim_iteration(seq_len, profile, decision);
+            // The cost-model spec of this iteration (shared by time and
+            // traffic estimates).
+            let spec = StepSpec {
+                gpu: self.gpu,
+                topology: self.topology,
+                shape: self.shape,
+                layout: layout_for(method, decision),
+                seq_len,
+                profile: step.profile,
+            };
+            let sim_s = iteration_cost(&spec).total();
             sim_seconds += sim_s;
             if on {
                 fwd_total += forward_s;
@@ -407,7 +535,7 @@ impl NodeTrainer {
                     .gauge_set("arena_reuse_hits", (ws1.reuse_hits - ws0.reuse_hits) as f64);
                 // The §III-C sequence↔head relayouts this iteration implies
                 // on the simulated cluster.
-                let traffic = all_to_all_traffic(&self.step_spec(seq_len, profile, decision));
+                let traffic = all_to_all_traffic(&spec);
                 self.recorder.collective(
                     "all_to_all",
                     traffic.ops,
@@ -420,13 +548,16 @@ impl NodeTrainer {
                     seq_len,
                     sparse: decision == Decision::Sparse,
                     beta_thre: self.current_beta,
-                    reform_ratio,
+                    reform_ratio: step.reform_ratio,
                     forward_s,
                     backward_s,
                     optim_s,
                     sim_s,
                 });
             }
+        });
+        if let Err(e) = streamed {
+            panic!("sequence source failed mid-epoch: {e}");
         }
         let mean_loss = total_loss / nseq.max(1) as f32;
         // Numerical-health guard: a NaN/Inf epoch loss means the run is
@@ -450,7 +581,7 @@ impl NodeTrainer {
             beta_thre: self.current_beta,
         };
         // Elastic transfer: let the Auto Tuner adjust β_thre.
-        if self.cfg.method == Method::TorchGt && self.cfg.beta_thre.is_none() {
+        if method == Method::TorchGt && self.cfg.beta_thre.is_none() {
             let next = self.tuner.observe(mean_loss as f64, sim_seconds.max(1e-9));
             if (next - self.current_beta).abs() > f64::EPSILON {
                 let from = self.current_beta;
@@ -496,20 +627,8 @@ impl NodeTrainer {
         stats
     }
 
-    /// The cost-model spec of one iteration (shared by time and traffic
-    /// estimates).
-    fn step_spec(&self, seq_len: usize, profile: AccessProfile, decision: Decision) -> StepSpec {
-        StepSpec {
-            gpu: self.gpu,
-            topology: self.topology,
-            shape: self.shape,
-            layout: self.layout_for(decision),
-            seq_len,
-            profile,
-        }
-    }
-
-    /// Evaluate train/test accuracy with the method's inference pattern.
+    /// Evaluate train/test accuracy with the method's inference pattern
+    /// (a streaming source re-reads the current epoch's sequences).
     pub fn evaluate(&mut self) -> (f64, f64) {
         let _span = SpanGuard::new(&self.recorder, "evaluate");
         self.model.set_training(false);
@@ -517,28 +636,22 @@ impl NodeTrainer {
         let mut train_total = 0usize;
         let mut test_hits = 0usize;
         let mut test_total = 0usize;
-        for si in 0..self.prepared.sequences.len() {
-            let seq = &self.prepared.sequences[si];
-            let state = &self.attn[si];
-            let pattern = match self.cfg.method {
-                Method::GpRaw => Pattern::Dense,
-                Method::GpFlash => Pattern::Flash,
-                _ => Pattern::Sparse(&state.mask),
-            };
-            let batch =
-                SequenceBatch { features: &seq.features, graph: &seq.graph, spd: None };
+        let method = self.cfg.method;
+        let streamed = self.source.for_each_step(self.epoch, &mut |step| {
+            let pattern = pattern_for(method, Decision::Sparse, step.mask);
+            let batch = SequenceBatch { features: step.features, graph: step.graph, spd: None };
             let mut logits = self.model.forward_ws(&batch, pattern, &mut self.ws);
             apply_precision(&mut logits, self.cfg.precision);
-            let acc_of = |positions: &[u32]| {
-                loss::accuracy(&logits, &seq.labels, Some(positions))
-            };
-            train_hits +=
-                (acc_of(&self.train_pos[si]) * self.train_pos[si].len() as f64).round() as usize;
-            train_total += self.train_pos[si].len();
-            test_hits +=
-                (acc_of(&self.test_pos[si]) * self.test_pos[si].len() as f64).round() as usize;
-            test_total += self.test_pos[si].len();
+            let acc_of =
+                |positions: &[u32]| loss::accuracy(&logits, step.labels, Some(positions));
+            train_hits += (acc_of(step.train_pos) * step.train_pos.len() as f64).round() as usize;
+            train_total += step.train_pos.len();
+            test_hits += (acc_of(step.test_pos) * step.test_pos.len() as f64).round() as usize;
+            test_total += step.test_pos.len();
             self.ws.give(logits);
+        });
+        if let Err(e) = streamed {
+            panic!("sequence source failed during evaluation: {e}");
         }
         self.model.set_training(true);
         (
@@ -559,7 +672,7 @@ impl NodeTrainer {
     }
 }
 
-impl crate::traits::Trainer for NodeTrainer {
+impl<S: SequenceSource> crate::traits::Trainer for NodeTrainer<S> {
     fn cfg(&self) -> &TrainConfig {
         &self.cfg
     }
@@ -596,10 +709,17 @@ impl crate::traits::Trainer for NodeTrainer {
             }),
             epoch_losses: Vec::new(),
         };
-        crate::resume::capture_model(self.model.as_mut(), state)
+        let snapshot = crate::resume::capture_model(self.model.as_mut(), state);
+        match self.source.dataset_id() {
+            Some(id) => snapshot.with_dataset_id(id.to_string()),
+            None => snapshot,
+        }
     }
 
     fn restore(&mut self, snapshot: &torchgt_ckpt::Snapshot) -> std::io::Result<()> {
+        if let Some(id) = &snapshot.dataset_id {
+            self.source.check_dataset(id)?;
+        }
         crate::resume::restore_model(self.model.as_mut(), &mut self.opt, snapshot)?;
         let st = &snapshot.state;
         if let Some(t) = &st.tuner {

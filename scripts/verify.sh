@@ -20,6 +20,11 @@ TORCHGT_BACKEND=scalar TORCHGT_OVERLAP=off cargo test -q --offline --workspace
 echo "== benches + examples compile (offline) =="
 cargo check --benches --examples --offline
 
+echo "== benchmark harness builds and passes its unit tests (offline) =="
+# perfbench is a standalone package that builds the library crates by path:
+# a library API change that breaks it must fail here, not in a benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== release examples + bins build (offline) =="
 cargo build --release --offline --examples --bins
 

@@ -354,14 +354,9 @@ fn generate_dataset(
     Ok((kind, dataset, name, scale, seed))
 }
 
-/// Build a node trainer from the shared train/freeze hyper-parameter flags.
-fn build_trainer(
-    flags: &HashMap<String, String>,
-    dataset: &NodeDataset,
-    m: Method,
-    epochs: usize,
-    seed: u64,
-) -> Result<NodeTrainer, ExitCode> {
+/// The trainer builder described by the shared train/freeze
+/// hyper-parameter flags; callers pick `build_node` or `build_streaming`.
+fn builder(flags: &HashMap<String, String>, m: Method, epochs: usize, seed: u64) -> TorchGtBuilder {
     let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
     let model = match get("model", "graphormer").as_str() {
         "gt" => ModelKind::Gt,
@@ -376,11 +371,14 @@ fn build_trainer(
         .heads(get("heads", "8").parse().unwrap_or(8))
         .lr(get("lr", "2e-3").parse().unwrap_or(2e-3))
         .seed(seed)
-        .build_node(dataset)
-        .map_err(|e| {
-            eprintln!("invalid configuration: {e}");
-            ExitCode::from(2)
-        })
+}
+
+/// A built trainer, or usage exit code 2 naming the invalid configuration.
+fn built<T>(trainer: Result<T, BuildError>) -> Result<T, ExitCode> {
+    trainer.map_err(|e| {
+        eprintln!("invalid configuration: {e}");
+        ExitCode::from(2)
+    })
 }
 
 fn print_epoch_header() {
@@ -592,16 +590,16 @@ fn run_train(flags: &HashMap<String, String>) -> ExitCode {
     if flags.contains_key("elastic") {
         return run_elastic(flags, m, &dataset, epochs, seed);
     }
-    let mut node_trainer = match build_trainer(flags, &dataset, m, epochs, seed) {
+    let mut node_trainer = match built(builder(flags, m, epochs, seed).build_node(&dataset)) {
         Ok(t) => t,
         Err(code) => return code,
     };
     drive_trainer(flags, &mut node_trainer, epochs, &kernel_backend, false)
 }
 
-/// The `train --data-dir` path: open the sharded dataset, build a
-/// [`StreamingTrainer`] over its prefetching loader, and drive it through
-/// the same checkpoint/metrics loop as the in-memory path. Self-reports
+/// The `train --data-dir` path: open the sharded dataset, build the node
+/// trainer over its prefetching loader, and drive it through the same
+/// checkpoint/metrics loop as the in-memory path. Self-reports
 /// peak RSS so scripts can assert the out-of-core memory claim.
 fn run_train_streaming(
     flags: &HashMap<String, String>,
@@ -638,26 +636,9 @@ fn run_train_streaming(
         man.num_classes,
         loader.hash()
     );
-    let model = match get("model", "graphormer").as_str() {
-        "gt" => ModelKind::Gt,
-        _ => ModelKind::Graphormer,
-    };
-    let built = TorchGtBuilder::new(m)
-        .model(model)
-        .seq_len(get("seq-len", "512").parse().unwrap_or(512))
-        .epochs(epochs)
-        .hidden(get("hidden", "64").parse().unwrap_or(64))
-        .layers(get("layers", "3").parse().unwrap_or(3))
-        .heads(get("heads", "8").parse().unwrap_or(8))
-        .lr(get("lr", "2e-3").parse().unwrap_or(2e-3))
-        .seed(seed)
-        .build_streaming(loader);
-    let mut trainer = match built {
+    let mut trainer = match built(builder(flags, m, epochs, seed).build_streaming(loader)) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("invalid configuration: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
     if flags.contains_key("allow-dataset-mismatch") {
         trainer.set_allow_dataset_mismatch(true);
@@ -805,7 +786,7 @@ fn run_freeze(flags: &HashMap<String, String>) -> ExitCode {
         };
         (dataset, DatasetRef { kind: ds_name, scale, seed }, None, seed)
     };
-    let mut trainer = match build_trainer(flags, &dataset, m, epochs, seed) {
+    let mut trainer = match built(builder(flags, m, epochs, seed).build_node(&dataset)) {
         Ok(t) => t,
         Err(code) => return code,
     };
